@@ -5,13 +5,20 @@
 //
 //   1. breaker state-machine legality on every observer callback;
 //   2. monotone sequence/ACK/delivery counters at every checkpoint;
-//   3. queue occupancy bounded by the armed budgets (settled samples);
-//   4. no admission rejects unless admission control is armed;
+//   3. queue occupancy bounded by the armed budgets (settled samples after
+//      every arrival, storm publish, read and requeue);
+//   4. no admission rejects and no sheds unless a budget is armed; every
+//      shed journaled (crash-free runs) in canonical shed order;
 //   5. live-vs-recovered image equality on clean WAL lineage (a crashed
 //      fault-free copy of the backend replays to exactly the live state);
-//   6. no expired event ever reaches the transport or the device;
-//   7. no duplicate user reads without a failover/requeue to explain them;
-//   8. the on-disk image stays fsck-recoverable through everything.
+//   6. no expired event ever reaches the transport or the device, and the
+//      user reads only what the transport delivered;
+//   7. no duplicate user reads without a failover/requeue to explain them,
+//      and (failover-free) no more device duplicates than requeues;
+//   8. the channel's books balance: transmissions cover every arrival, and
+//      (without a machine crash) every accepted transfer is settled or
+//      still in the pipeline;
+//   9. the on-disk image stays fsck-recoverable through everything.
 //
 // Every schedule must come out clean (the binary aborts otherwise), and
 // the whole sweep is byte-identical at any --jobs, so the CI determinism

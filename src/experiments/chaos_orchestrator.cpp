@@ -21,6 +21,7 @@
 #include "device/device.h"
 #include "experiments/autoscale_chaos.h"
 #include "experiments/rebalance_chaos.h"
+#include "experiments/three_topic.h"
 #include "net/link.h"
 #include "pubsub/broker.h"
 #include "pubsub/publisher.h"
@@ -36,9 +37,7 @@ namespace waif::experiments {
 
 namespace {
 
-constexpr char kAdaptiveTopic[] = "chaos/adaptive";
-constexpr char kBufferTopic[] = "chaos/buffer";
-constexpr char kOnlineTopic[] = "chaos/online";
+constexpr char kTopicPrefix[] = "chaos";
 
 /// Floor on a crash fault's restart delay. The failure detector (30 s
 /// heartbeats, 5 min suspicion) promotes the standby well inside this
@@ -46,70 +45,14 @@ constexpr char kOnlineTopic[] = "chaos/online";
 /// the attached journal — when restart_replica replaces its proxy object.
 constexpr SimDuration kMinRestartDelay = 8 * kMinute;
 
-/// Same three-way policy split as the recovery/overload harnesses, so a
-/// composed schedule crosses every queue and journal stage.
-std::map<std::string, core::TopicConfig> topic_configs(
-    const workload::ScenarioConfig& scenario) {
-  std::map<std::string, core::TopicConfig> configs;
-  {
-    core::TopicConfig config;
-    config.options.max = scenario.max;
-    config.options.threshold = scenario.threshold;
-    config.policy = core::PolicyConfig::adaptive();
-    config.policy.delay = 30 * kMinute;
-    configs.emplace(kAdaptiveTopic, config);
-  }
-  {
-    core::TopicConfig config;
-    config.options.max = scenario.max;
-    config.options.threshold = scenario.threshold;
-    config.policy = core::PolicyConfig::buffer(8, 2 * kHour);
-    config.refinements.interrupt_threshold = 4.8;
-    configs.emplace(kBufferTopic, config);
-  }
-  {
-    core::TopicConfig config;
-    config.mode = core::DeliveryMode::kOnLine;
-    config.options.max = scenario.max;
-    config.options.threshold = scenario.threshold;
-    config.policy = core::PolicyConfig::online();
-    config.refinements.max_per_day = 16;
-    configs.emplace(kOnlineTopic, config);
-  }
-  return configs;
-}
-
-struct TopicTrace {
-  std::string topic;
-  workload::Trace trace;
-};
-
-/// One trace per topic from independent substreams of the schedule seed.
-/// No trace outages and no rank churn: the link belongs to the schedule's
-/// kOutage faults, and chaos measures fault composition, not rank changes.
+/// The traces behind a schedule: the shared three-topic mix over
+/// chaos_scenario(), stretched to the schedule's horizon. No trace outages
+/// and no rank churn: the link belongs to the schedule's kOutage faults,
+/// and chaos measures fault composition, not rank changes.
 std::vector<TopicTrace> build_traces(const ChaosSchedule& schedule) {
-  workload::ScenarioConfig adaptive = chaos_scenario();
-  adaptive.horizon = schedule.horizon;
-
-  workload::ScenarioConfig buffer = adaptive;
-  buffer.event_frequency = adaptive.event_frequency * 0.75;
-  buffer.expiring_fraction = 1.0;
-  buffer.mean_expiration = 4 * kHour;
-
-  workload::ScenarioConfig online = adaptive;
-  online.event_frequency = adaptive.event_frequency * 0.5;
-  online.expiring_fraction = 0.0;
-  online.mean_expiration = 0;
-
-  std::uint64_t state = schedule.seed;
-  std::vector<TopicTrace> traces;
-  traces.push_back(
-      {kAdaptiveTopic, workload::generate_trace(adaptive, splitmix64(state))});
-  traces.push_back(
-      {kBufferTopic, workload::generate_trace(buffer, splitmix64(state))});
-  traces.push_back(
-      {kOnlineTopic, workload::generate_trace(online, splitmix64(state))});
-  return traces;
+  workload::ScenarioConfig base = chaos_scenario();
+  base.horizon = schedule.horizon;
+  return three_topic_traces(kTopicPrefix, base, schedule.seed);
 }
 
 /// Compact shape summary of a topic image, for violation details.
@@ -282,11 +225,11 @@ class ChaosHarness {
  public:
   explicit ChaosHarness(const ChaosSchedule& schedule)
       : schedule_(schedule),
-        configs_(topic_configs(chaos_scenario())),
+        configs_(three_topic_configs(kTopicPrefix, chaos_scenario())),
         traces_(build_traces(schedule)),
         sim_(),
         broker_(sim_, std::max<std::size_t>(
-                          total_arrivals() + total_storm_events(), 1)),
+                          total_arrivals(traces_) + total_storm_events(), 1)),
         link_(sim_),
         device_(sim_, DeviceId{1}),
         publisher_(broker_, "workload"),
@@ -327,12 +270,14 @@ class ChaosHarness {
                                 " arrived at the device",
                             sim_.now());
           }
+          monitor_.note_delivered(event->id.value);
         });
     reliable_.set_failure_handler(
         [this](const pubsub::NotificationPtr& event) {
           core::Proxy& active = replicated_.active_proxy();
           if (core::TopicState* topic = active.topic(event->topic)) {
             topic->requeue_undelivered(event);
+            sample_queues(sim_.now());
           }
         });
     // One observer, two jobs: invariant-check the transition and wake the
@@ -353,6 +298,7 @@ class ChaosHarness {
         sim_.schedule_at(arrival.time, [this, &topic, arrival] {
           ++outcome_.arrivals;
           publisher_.publish(topic, arrival.rank, arrival.lifetime);
+          sample_queues(sim_.now());
         });
       }
       for (SimTime read_at : entry.trace.reads) {
@@ -427,14 +373,6 @@ class ChaosHarness {
   static std::uint64_t channel_seed(std::uint64_t seed) {
     std::uint64_t state = seed ^ 0x52E11AB1Eull;
     return splitmix64(state);
-  }
-
-  std::size_t total_arrivals() const {
-    std::size_t total = 0;
-    for (const TopicTrace& entry : traces_) {
-      total += entry.trace.arrivals.size();
-    }
-    return total;
   }
 
   std::size_t total_storm_events() const {
@@ -628,6 +566,7 @@ class ChaosHarness {
       sim_.schedule_at(at, [this, topic, rank, lifetime] {
         ++outcome_.arrivals;
         publisher_.publish(topic, rank, lifetime);
+        sample_queues(sim_.now());
       });
     }
   }
@@ -729,7 +668,9 @@ class ChaosHarness {
     for (std::uint64_t id : ids) {
       digest_.u64(id);
       if (!seen.insert(id).second) ++outcome_.duplicate_user_reads;
+      monitor_.note_read(topic, id, sim_.now());
     }
+    sample_queues(sim_.now());
   }
 
   // --- the monitor's checkpoint ----------------------------------------------
@@ -744,21 +685,36 @@ class ChaosHarness {
         replicated_.active_proxy().stats().admission_rejects +
             replicated_.standby_proxy().stats().admission_rejects,
         now);
+    monitor_.note_shed(topic_sheds(replicated_.active_proxy()) +
+                           topic_sheds(replicated_.standby_proxy()),
+                       now);
     check_image(now);
   }
 
+  /// Queue occupancy of both replicas against the armed budgets. Called
+  /// after every arrival, storm publish, read and requeue (and at each
+  /// checkpoint), never from inside a mutation: on_enqueue fires before
+  /// enforcement and may legitimately see budget+1.
   void sample_queues(SimTime now) {
     core::Proxy* proxies[2] = {&replicated_.active_proxy(),
                                &replicated_.standby_proxy()};
     for (core::Proxy* proxy : proxies) {
       std::size_t total = 0;
-      for (const std::string& name : proxy->topic_names()) {
+      for (const auto& [name, config] : configs_) {
         const std::size_t queued = proxy->topic(name)->queued_total();
         monitor_.note_queue(name, queued, now);
         total += queued;
       }
       monitor_.note_proxy_total(total, now);
     }
+  }
+
+  std::uint64_t topic_sheds(const core::Proxy& proxy) const {
+    std::uint64_t shed = 0;
+    for (const auto& [name, config] : configs_) {
+      shed += proxy.topic(name)->stats().shed;
+    }
+    return shed;
   }
 
   /// Live-vs-recovered digest equality: replay the durable snapshot+WAL
@@ -851,12 +807,35 @@ class ChaosHarness {
                                &replicated_.standby_proxy()};
     for (core::Proxy* proxy : proxies) {
       outcome_.admission_rejects += proxy->stats().admission_rejects;
-      for (const std::string& name : proxy->topic_names()) {
-        outcome_.shed += proxy->topic(name)->stats().shed;
-      }
+      outcome_.shed += topic_sheds(*proxy);
     }
     accumulate_link_stats();
     accumulate_storage_stats();
+
+    const SimTime now = sim_.now();
+    // Every shed the journaled (active) proxy counted went through the
+    // journal. Only while the active role never moved: after a crash the
+    // promoted standby's counters include sheds it made unjournaled while
+    // standing by, and the dead active's journaled sheds died with it.
+    if (outcome_.crashes == 0) {
+      monitor_.note_shed_journal(outcome_.journaled_sheds,
+                                 topic_sheds(replicated_.active_proxy()), now);
+    }
+    // The transport's books. A machine crash drops the proxy side's
+    // in-flight transfers without counting them (crash_proxy_side), so
+    // transfer conservation only holds on runs without one.
+    monitor_.note_transmissions(channel, now);
+    if (outcome_.machine_crashes == 0) {
+      monitor_.note_transfers(channel, reliable_.in_flight(),
+                              reliable_.backlog(), now);
+    }
+    // After a failover the promoted standby may forward again what the old
+    // active had already delivered (the replication asynchrony window), so
+    // device duplicates are bounded by requeues only on failover-free runs.
+    if (outcome_.failovers == 0) {
+      monitor_.note_device_duplicates(device_.stats().duplicate_receives,
+                                      channel.requeued, now);
+    }
 
     // Post-recovery duplicate reads: with the write-ahead discipline on and
     // no failovers, machine losses or requeues, a repeated id in the user's
@@ -866,11 +845,10 @@ class ChaosHarness {
       monitor_.record("duplicate-read",
                       std::to_string(outcome_.duplicate_user_reads) +
                           " duplicate user reads without failover/requeue",
-                      sim_.now());
+                      now);
     }
     if (!storage::waif_fsck(backend_).recoverable()) {
-      monitor_.record("fsck", "backend unrecoverable at end of run",
-                      sim_.now());
+      monitor_.record("fsck", "backend unrecoverable at end of run", now);
     }
     outcome_.violations = monitor_.violations();
   }
@@ -920,7 +898,7 @@ class ChaosHarness {
 }  // namespace
 
 std::vector<std::string> chaos_topics() {
-  return {kAdaptiveTopic, kBufferTopic, kOnlineTopic};
+  return three_topic_names(kTopicPrefix);
 }
 
 workload::ScenarioConfig chaos_scenario() {

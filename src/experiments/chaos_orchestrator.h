@@ -4,11 +4,14 @@
 // the reusable InvariantMonitor at every step, and delta-debugging any
 // violating schedule down to a minimal replayable repro.
 //
-// The harness composes every injector the siloed sweeps exercise one at a
-// time (recovery_runner, overload_runner, chaos_lasthop) so their
-// *interactions* get explored: a machine crash mid-shed-storm while the
-// device is half-open is one drawn schedule here, not three separate
-// benches. run_chaos is deterministic: equal schedules produce equal
+// This is the repo's one chaos harness. Every injector composes here — link
+// faults, outages, storage faults, replica kills, machine crashes, publish
+// storms, device stalls — so their *interactions* get explored: a machine
+// crash mid-shed-storm while the device is half-open is one drawn schedule,
+// and the single-fault sweeps are just schedules with one kind of fault
+// (tests/experiments/chaos_grid_test.cpp). Every last-hop, overload and
+// durability invariant is a named InvariantMonitor check evaluated inside
+// run_chaos. run_chaos is deterministic: equal schedules produce equal
 // outcomes byte for byte, which is what makes shrink_chaos and `.chaos`
 // replay files (chaos_schedule.h) trustworthy.
 #pragma once
@@ -74,8 +77,8 @@ struct ChaosOutcome {
   std::uint64_t digest() const;
 };
 
-/// The topics the harness manages (same three-way policy split as the
-/// recovery and overload harnesses, so chaos crosses every journal stage).
+/// The topics the harness manages: the three-topic mix (three_topic.h)
+/// under "chaos/", so chaos crosses every queue and journal stage.
 std::vector<std::string> chaos_topics();
 
 /// The base workload behind every chaos run. Outages come from the

@@ -227,7 +227,7 @@ class ElasticRun {
       for (const std::uint32_t t : managed_) {
         std::uint32_t count = 0;
         for (const std::uint32_t slot : pop_.topic_subscribers[t]) {
-          count += outage_members_[o][slot];
+          count += static_cast<std::uint32_t>(outage_members_[o][slot]);
         }
         outage_topic_subs_[o][t] = count;
       }

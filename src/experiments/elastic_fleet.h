@@ -159,7 +159,8 @@ class FleetController {
 /// at protocol points or segment boundaries (node clocks idle), storage
 /// windows gate the migration protocol's durable steps via a per-migration
 /// RNG. Node WALs keep perfect hardware here — per-node storage chaos is
-/// chaos_recovery's subject; these faults target the moving parts.
+/// the subject of run_chaos's storage faults and the recovery_runner
+/// durability grid; these faults target the moving parts.
 struct ElasticFaults {
   /// Crash parties of the first migration that durably reaches `stage`
   /// (or the specific `migration_id`). Fires right after the stage record

@@ -122,6 +122,77 @@ void InvariantMonitor::note_admission_rejects(std::uint64_t rejects,
   }
 }
 
+void InvariantMonitor::note_shed(std::uint64_t shed, SimTime at) {
+  if (expectations_.topic_budget == 0 && expectations_.proxy_budget == 0 &&
+      shed > 0) {
+    record("unarmed-shed",
+           std::to_string(shed) + " sheds with both budgets unarmed", at);
+  }
+}
+
+void InvariantMonitor::note_shed_journal(std::uint64_t journaled,
+                                         std::uint64_t shed, SimTime at) {
+  if (journaled != shed) {
+    record("shed-journal",
+           std::to_string(journaled) + " journaled sheds vs " +
+               std::to_string(shed) + " counted",
+           at);
+  }
+}
+
+void InvariantMonitor::note_delivered(std::uint64_t id) {
+  delivered_.insert(id);
+}
+
+void InvariantMonitor::note_read(const std::string& topic, std::uint64_t id,
+                                 SimTime at) {
+  if (!delivered_.contains(id)) {
+    record("read-without-delivery",
+           topic + " read " + std::to_string(id) +
+               ", which the transport never delivered",
+           at);
+  }
+}
+
+void InvariantMonitor::note_device_duplicates(std::uint64_t duplicates,
+                                              std::uint64_t requeued,
+                                              SimTime at) {
+  if (duplicates > requeued) {
+    record("duplicate-receive",
+           std::to_string(duplicates) + " device duplicates vs " +
+               std::to_string(requeued) + " requeues",
+           at);
+  }
+}
+
+void InvariantMonitor::note_transfers(const core::ReliableChannelStats& stats,
+                                      std::size_t in_flight,
+                                      std::size_t backlog, SimTime at) {
+  const std::uint64_t settled = stats.acked + stats.expired_abandoned +
+                                stats.attempts_exhausted + in_flight + backlog;
+  if (settled != stats.accepted) {
+    record("transfer-conservation",
+           std::to_string(settled) +
+               " acked/abandoned/exhausted/in-flight/backlogged vs " +
+               std::to_string(stats.accepted) + " accepted",
+           at);
+  }
+}
+
+void InvariantMonitor::note_transmissions(
+    const core::ReliableChannelStats& stats, SimTime at) {
+  // delivered + suppressed <= transmissions - link_drops, kept unsigned.
+  if (stats.delivered + stats.duplicates_suppressed + stats.link_drops >
+      stats.transmissions) {
+    record("transmission-conservation",
+           std::to_string(stats.delivered + stats.duplicates_suppressed) +
+               " arrivals vs " + std::to_string(stats.transmissions) +
+               " transmissions with " + std::to_string(stats.link_drops) +
+               " link drops",
+           at);
+  }
+}
+
 void InvariantMonitor::note_topic_owners(const std::string& topic,
                                          std::size_t owners, SimTime at) {
   if (owners != 1) {

@@ -1,23 +1,26 @@
 // The single reusable invariant checker behind the chaos orchestrator.
 //
-// Each siloed harness (recovery, overload, last-hop) bakes its safety
-// checks into WAIF_CHECK aborts, which is right for a targeted sweep but
-// useless for delta-debugging: the shrinker needs "did this schedule
-// violate?" as a value, not a crashed process. The monitor therefore
+// A WAIF_CHECK abort is right for a targeted sweep but useless for
+// delta-debugging: the shrinker needs "did this schedule violate?" as a
+// value, not a crashed process. The monitor therefore
 // *records* violations — each one a named invariant, a detail string and a
 // sim timestamp — and the orchestrator (or a test fixture) decides what to
 // do with them.
 //
-// Stateful invariants live here (breaker state-machine legality, monotone
-// seq/ACK counters, queue bounds vs the armed budgets); whole-run checks
-// that need the harness's wiring (live-vs-recovered image equality,
-// duplicate reads after failover) are evaluated by the orchestrator, which
-// reports failures through record().
+// The invariants live here as named checks: breaker state-machine
+// legality, monotone seq/ACK counters, queue bounds vs the armed budgets,
+// shed legality and journaling, read-after-delivery, and the reliable
+// channel's conservation laws. Checks that need the harness's wiring
+// (live-vs-recovered image equality, shed order, duplicate reads after
+// failover) are evaluated by the orchestrator, which reports failures
+// through record(); so are the guards that decide when a conservation law
+// applies at all (a failover or a machine crash legitimately breaks some).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/time.h"
@@ -83,6 +86,43 @@ class InvariantMonitor {
   /// unarmed any reject is a violation.
   void note_admission_rejects(std::uint64_t rejects, SimTime at);
 
+  // --- shedding -------------------------------------------------------------
+
+  /// Feed the cumulative shed counter; with both budgets unarmed any shed
+  /// is a violation (nothing may drop an event the user could still read).
+  void note_shed(std::uint64_t shed, SimTime at);
+
+  /// Every shed the journaled proxy counted went through the journal hook:
+  /// `journaled` on_shed firings must equal its summed topic `shed`
+  /// counters. An unjournaled shed would resurrect at recovery.
+  void note_shed_journal(std::uint64_t journaled, std::uint64_t shed,
+                         SimTime at);
+
+  // --- last-hop transport ----------------------------------------------------
+
+  /// Feed every arrival at the device (the channel's delivery observer).
+  void note_delivered(std::uint64_t id);
+
+  /// Feed every id the user read: the device cannot invent events, so an
+  /// id the transport never delivered is a violation.
+  void note_read(const std::string& topic, std::uint64_t id, SimTime at);
+
+  /// Device-level duplicate receives at the horizon. The dedup window
+  /// absorbs plain retransmissions, so without a failover (the replication
+  /// asynchrony window, which callers exclude) a duplicate can only come
+  /// from an ACK-starved requeue that a later forward sent again.
+  void note_device_duplicates(std::uint64_t duplicates, std::uint64_t requeued,
+                              SimTime at);
+
+  /// Transfer conservation: every accepted transfer is acked, abandoned at
+  /// expiry, exhausted, or still in flight or backlogged.
+  void note_transfers(const core::ReliableChannelStats& stats,
+                      std::size_t in_flight, std::size_t backlog, SimTime at);
+
+  /// Arrivals (fresh or suppressed duplicates) cannot outnumber the
+  /// transmissions the link did not drop.
+  void note_transmissions(const core::ReliableChannelStats& stats, SimTime at);
+
   // --- elastic fleet / migration ---------------------------------------------
 
   /// Exactly-one-owner at a checkpoint: `owners` is how many live nodes
@@ -116,6 +156,7 @@ class InvariantMonitor {
   std::uint64_t last_next_seq_ = 0;
   core::ReliableChannelStats last_stats_;
   std::map<std::string, std::uint64_t> topic_seq_;
+  std::unordered_set<std::uint64_t> delivered_;
   std::vector<ChaosViolation> violations_;
   std::uint64_t total_ = 0;
   std::uint64_t resizes_seen_ = 0;

@@ -14,6 +14,7 @@
 #include "core/read_protocol.h"
 #include "core/reliable_channel.h"
 #include "device/device.h"
+#include "experiments/three_topic.h"
 #include "net/link.h"
 #include "pubsub/broker.h"
 #include "pubsub/publisher.h"
@@ -27,80 +28,7 @@ namespace waif::experiments {
 
 namespace {
 
-constexpr char kAdaptiveTopic[] = "recovery/adaptive";
-constexpr char kBufferTopic[] = "recovery/buffer";
-constexpr char kOnlineTopic[] = "recovery/online";
-
-/// Three deliberately different topic configurations, so a crash-point sweep
-/// crosses every journal stage: delay release, holding/expiration, interrupt
-/// promotion and the on-line per-day budget.
-std::map<std::string, core::TopicConfig> topic_configs(
-    const workload::ScenarioConfig& scenario) {
-  std::map<std::string, core::TopicConfig> configs;
-  {
-    core::TopicConfig config;
-    config.options.max = scenario.max;
-    config.options.threshold = scenario.threshold;
-    config.policy = core::PolicyConfig::adaptive();
-    config.policy.delay = 30 * kMinute;  // rank-change delay stage
-    configs.emplace(kAdaptiveTopic, config);
-  }
-  {
-    core::TopicConfig config;
-    config.options.max = scenario.max;
-    config.options.threshold = scenario.threshold;
-    config.policy = core::PolicyConfig::buffer(8, 2 * kHour);
-    config.refinements.interrupt_threshold = 4.8;
-    configs.emplace(kBufferTopic, config);
-  }
-  {
-    core::TopicConfig config;
-    config.mode = core::DeliveryMode::kOnLine;
-    config.options.max = scenario.max;
-    config.options.threshold = scenario.threshold;
-    config.policy = core::PolicyConfig::online();
-    config.refinements.max_per_day = 16;
-    configs.emplace(kOnlineTopic, config);
-  }
-  return configs;
-}
-
-struct TopicTrace {
-  std::string topic;
-  workload::Trace trace;
-};
-
-/// One trace per topic from independent RNG substreams. Only the adaptive
-/// topic's outage schedule drives the link (there is one link); the other
-/// variants generate none. Rank changes are disabled everywhere — see
-/// RecoveryOutcome::duplicate_user_reads.
-std::vector<TopicTrace> build_traces(const RecoveryPlan& plan) {
-  workload::ScenarioConfig adaptive = plan.scenario;
-  adaptive.rank_drop_fraction = 0.0;
-  adaptive.rank_raise_fraction = 0.0;
-
-  workload::ScenarioConfig buffer = adaptive;
-  buffer.event_frequency = adaptive.event_frequency * 0.75;
-  buffer.expiring_fraction = 1.0;
-  buffer.mean_expiration = 4 * kHour;
-  buffer.outage_fraction = 0.0;
-
-  workload::ScenarioConfig online = adaptive;
-  online.event_frequency = adaptive.event_frequency * 0.5;
-  online.expiring_fraction = 0.0;
-  online.mean_expiration = 0;
-  online.outage_fraction = 0.0;
-
-  std::uint64_t state = plan.seed;
-  std::vector<TopicTrace> traces;
-  traces.push_back(
-      {kAdaptiveTopic, workload::generate_trace(adaptive, splitmix64(state))});
-  traces.push_back(
-      {kBufferTopic, workload::generate_trace(buffer, splitmix64(state))});
-  traces.push_back(
-      {kOnlineTopic, workload::generate_trace(online, splitmix64(state))});
-  return traces;
-}
+constexpr char kTopicPrefix[] = "recovery";
 
 /// A stable pubsub endpoint: the broker holds a Subscriber& for the whole
 /// run, but the proxy behind it is destroyed and rebuilt at every crash.
@@ -142,10 +70,12 @@ class RecoveryHarness {
  public:
   explicit RecoveryHarness(const RecoveryPlan& plan)
       : plan_(plan),
-        configs_(topic_configs(plan.scenario)),
-        traces_(build_traces(plan)),
+        configs_(three_topic_configs(kTopicPrefix, plan.scenario)),
+        // Rank changes stay off (the shared traces disable them), so any
+        // duplicate user read is a recovery bug.
+        traces_(three_topic_traces(kTopicPrefix, plan.scenario, plan.seed)),
         sim_(),
-        broker_(sim_, std::max<std::size_t>(total_arrivals(), 1)),
+        broker_(sim_, std::max<std::size_t>(total_arrivals(traces_), 1)),
         link_(sim_),
         device_(sim_, DeviceId{1}),
         relay_([this](const pubsub::NotificationPtr& notification) {
@@ -263,14 +193,6 @@ class RecoveryHarness {
   }
 
  private:
-  std::size_t total_arrivals() const {
-    std::size_t total = 0;
-    for (const TopicTrace& entry : traces_) {
-      total += entry.trace.arrivals.size();
-    }
-    return total;
-  }
-
   void build_proxy() {
     proxy_ = std::make_unique<core::Proxy>(sim_, *checked_, "proxy");
     for (const auto& [topic, config] : configs_) {
@@ -413,7 +335,7 @@ class RecoveryHarness {
 }  // namespace
 
 std::vector<std::string> recovery_topics() {
-  return {kAdaptiveTopic, kBufferTopic, kOnlineTopic};
+  return three_topic_names(kTopicPrefix);
 }
 
 workload::ScenarioConfig recovery_scenario() {

@@ -163,7 +163,9 @@ void EventQueue::rebuild(std::size_t bucket_count) {
     }
     std::sort(sample.begin(), sample.end());
     // Trim the top eighth so one far-future sentinel cannot blow the width.
-    const std::uint64_t low = sample.front();
+    // (sample is never empty here; the guard spells that out for the
+    // compiler's null-dereference analysis.)
+    const std::uint64_t low = sample.empty() ? 0 : sample.front();
     const std::uint64_t high = sample[(sample.size() - 1) * 7 / 8];
     const std::uint64_t gap = (high - low) / (entries.size() + 1);
     shift_ = std::min(kMaxShift,

@@ -60,7 +60,8 @@ TEST(ShardRingTest, BalanceBoundAtOneThousandKeys) {
     constexpr std::uint64_t kKeys = 1000;
     for (std::uint64_t i = 0; i < kKeys; ++i) ++count[ring.shard_of_index(i)];
     const std::uint64_t max = *std::max_element(count.begin(), count.end());
-    const double mean = static_cast<double>(kKeys) / shards;
+    const double mean =
+        static_cast<double>(kKeys) / static_cast<double>(shards);
     EXPECT_LT(static_cast<double>(max) / mean, 1.35)
         << "shards=" << shards << " max=" << max;
   }

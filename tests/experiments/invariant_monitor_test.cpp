@@ -112,6 +112,82 @@ TEST(InvariantMonitor, UnarmedAdmissionMustNeverReject) {
   EXPECT_TRUE(with_admission.ok());
 }
 
+TEST(InvariantMonitor, UnarmedBudgetsMustNeverShed) {
+  InvariantMonitor unarmed;
+  unarmed.note_shed(0, 1);
+  EXPECT_TRUE(unarmed.ok());
+  unarmed.note_shed(2, 2);
+  ASSERT_FALSE(unarmed.ok());
+  EXPECT_EQ(unarmed.violations()[0].invariant, "unarmed-shed");
+
+  // Either budget alone licenses shedding.
+  InvariantMonitor::Expectations proxy_only;
+  proxy_only.proxy_budget = 20;
+  InvariantMonitor with_budget(proxy_only);
+  with_budget.note_shed(5, 1);
+  EXPECT_TRUE(with_budget.ok());
+}
+
+TEST(InvariantMonitor, EveryShedMustBeJournaled) {
+  InvariantMonitor monitor(armed());
+  monitor.note_shed_journal(7, 7, 1);
+  EXPECT_TRUE(monitor.ok());
+  monitor.note_shed_journal(6, 7, 2);  // one shed bypassed the journal
+  ASSERT_FALSE(monitor.ok());
+  EXPECT_EQ(monitor.violations()[0].invariant, "shed-journal");
+}
+
+TEST(InvariantMonitor, ReadsMustHaveBeenDelivered) {
+  InvariantMonitor monitor(armed());
+  monitor.note_delivered(41);
+  monitor.note_delivered(42);
+  monitor.note_read("news", 42, 1);
+  monitor.note_read("news", 41, 2);
+  EXPECT_TRUE(monitor.ok());
+  monitor.note_read("news", 43, 3);  // never crossed the transport
+  ASSERT_FALSE(monitor.ok());
+  EXPECT_EQ(monitor.violations()[0].invariant, "read-without-delivery");
+}
+
+TEST(InvariantMonitor, DeviceDuplicatesAreBoundedByRequeues) {
+  InvariantMonitor monitor(armed());
+  monitor.note_device_duplicates(0, 0, 1);
+  monitor.note_device_duplicates(3, 3, 2);
+  EXPECT_TRUE(monitor.ok());
+  monitor.note_device_duplicates(4, 3, 3);
+  ASSERT_FALSE(monitor.ok());
+  EXPECT_EQ(monitor.violations()[0].invariant, "duplicate-receive");
+}
+
+TEST(InvariantMonitor, AcceptedTransfersAreConserved) {
+  InvariantMonitor monitor(armed());
+  core::ReliableChannelStats stats;
+  stats.accepted = 20;
+  stats.acked = 12;
+  stats.expired_abandoned = 2;
+  stats.attempts_exhausted = 3;
+  monitor.note_transfers(stats, /*in_flight=*/2, /*backlog=*/1, 1);
+  EXPECT_TRUE(monitor.ok());
+  monitor.note_transfers(stats, /*in_flight=*/1, /*backlog=*/1, 2);  // lost one
+  ASSERT_FALSE(monitor.ok());
+  EXPECT_EQ(monitor.violations()[0].invariant, "transfer-conservation");
+}
+
+TEST(InvariantMonitor, ArrivalsNeverOutnumberSurvivingTransmissions) {
+  InvariantMonitor monitor(armed());
+  core::ReliableChannelStats stats;
+  stats.transmissions = 10;
+  stats.link_drops = 3;
+  stats.delivered = 5;
+  stats.duplicates_suppressed = 2;
+  monitor.note_transmissions(stats, 1);
+  EXPECT_TRUE(monitor.ok());
+  stats.duplicates_suppressed = 3;  // 8 arrivals from 7 surviving sends
+  monitor.note_transmissions(stats, 2);
+  ASSERT_FALSE(monitor.ok());
+  EXPECT_EQ(monitor.violations()[0].invariant, "transmission-conservation");
+}
+
 TEST(InvariantMonitor, NoThrashFlagsADirectionFlipInsideTheDwell) {
   InvariantMonitor::Expectations expectations;
   expectations.resize_min_dwell = kHour;

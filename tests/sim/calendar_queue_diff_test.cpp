@@ -163,7 +163,8 @@ TEST(CalendarQueueDiffTest, NeverSentinelsCoexistWithDenseTraffic) {
   driver.schedule(kNever - 1);  // far-future outlier parked behind everything
   Rng rng(7);
   for (int round = 0; round < 300; ++round) {
-    driver.schedule(static_cast<SimTime>(round * 10 + rng.next_below(10)));
+    driver.schedule(round * SimTime{10} +
+                    static_cast<SimTime>(rng.next_below(10)));
     if (round % 3 == 0 && !driver.queue().empty()) driver.pop();
   }
   driver.drain();

@@ -6,12 +6,16 @@
 // faults, recovery is EXACT at every single record index — same reads, same
 // instants, same ids, same final record count. The remaining tests relax
 // the sync policy and inject storage faults, checking the documented
-// bounded-loss and no-duplicate guarantees instead of exact identity.
+// bounded-loss and no-duplicate guarantees instead of exact identity; the
+// durability grid at the end crosses all of those axes cell by cell.
 #include "experiments/recovery_runner.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 
 #include "common/time.h"
 
@@ -202,6 +206,131 @@ TEST(RecoveryRunner, ReliableChannelRecoveryTrustsOrRequeues) {
   EXPECT_EQ(requeued.crashes, 1u);
   EXPECT_GT(requeued.total_read, 0u);
 }
+
+// ------------------------------------------------------------ durability grid
+//
+// Sync policy x snapshot interval x injected storage fault x crash point
+// over 12-day runs. The crash point indexes the uninterrupted no-fault
+// run's WAL (without faults the sync policy cannot change behaviour, so
+// one baseline covers both policies).
+
+enum class SyncMode { kWriteAhead, kBatched };
+enum class StorageFault { kNone, kFsync, kTorn };
+
+/// sync x snapshot interval x fault x crash fraction (0 = no crash).
+using DurabilityCell =
+    std::tuple<SyncMode, std::uint64_t, StorageFault, double>;
+
+RecoveryPlan grid_plan() {
+  RecoveryPlan plan;
+  plan.scenario = recovery_scenario();
+  plan.scenario.horizon = 12 * kDay;
+  return plan;
+}
+
+const RecoveryOutcome& grid_baseline() {
+  static const RecoveryOutcome baseline = run_recovery_plan(grid_plan());
+  return baseline;
+}
+
+RecoveryPlan cell_plan(const DurabilityCell& cell) {
+  const auto [sync, snapshot_interval, fault, crash_fraction] = cell;
+  RecoveryPlan plan = grid_plan();
+  plan.persistence.snapshot_interval = snapshot_interval;
+  if (sync == SyncMode::kBatched) {
+    plan.persistence.sync_interval = 32;
+    plan.persistence.sync_on_forward = false;
+  }
+  switch (fault) {
+    case StorageFault::kNone:
+      break;
+    case StorageFault::kFsync:
+      plan.storage_fault.fsync_failure_probability = 0.2;
+      break;
+    case StorageFault::kTorn:
+      plan.storage_fault.torn_write_probability = 1.0;
+      plan.storage_fault.bit_flip_probability = 0.5;
+      break;
+  }
+  if (crash_fraction > 0.0) {
+    plan.crash_at_record = static_cast<std::int64_t>(
+        crash_fraction *
+        static_cast<double>(grid_baseline().records_logged));
+  }
+  return plan;
+}
+
+std::string cell_name(const DurabilityCell& cell) {
+  const auto [sync, snapshot_interval, fault, crash_fraction] = cell;
+  const char* fault_name = fault == StorageFault::kNone    ? "none"
+                           : fault == StorageFault::kFsync ? "fsync"
+                                                           : "torn";
+  return std::string(sync == SyncMode::kWriteAhead ? "ahead" : "batch") +
+         "_snap" + std::to_string(snapshot_interval) + "_" + fault_name +
+         "_crash" + std::to_string(std::lround(crash_fraction * 10));
+}
+
+class DurabilityGrid : public ::testing::TestWithParam<DurabilityCell> {};
+
+TEST_P(DurabilityGrid, KeepsTheDurabilityInvariants) {
+  const auto [sync, snapshot_interval, fault, crash_fraction] = GetParam();
+  const RecoveryOutcome& baseline = grid_baseline();
+  ASSERT_GT(baseline.records_logged, 0u);
+  ASSERT_EQ(baseline.crashes, 0u);
+
+  const RecoveryPlan plan = cell_plan(GetParam());
+  const RecoveryOutcome result = run_recovery_plan(plan);
+  const bool crashed = result.crashes > 0;
+  const bool write_ahead = sync == SyncMode::kWriteAhead;
+  const bool clean_storage = fault == StorageFault::kNone;
+
+  // Whatever the fault left on disk, fsck finds a recoverable image.
+  EXPECT_TRUE(result.fsck_recoverable);
+  // Write-ahead syncs + clean storage = exact recovery.
+  if (write_ahead && clean_storage) {
+    EXPECT_EQ(result.read_digest, baseline.read_digest);
+    EXPECT_EQ(result.total_read, baseline.total_read);
+    if (crashed) {
+      EXPECT_EQ(result.lost_window, 0u);
+    }
+  }
+  // No crash + no fault is behaviour-neutral for either sync policy.
+  if (!crashed && clean_storage) {
+    EXPECT_EQ(result.read_digest, baseline.read_digest);
+  }
+  // A crash can only cost the unsynced window: each lost record hides at
+  // most one read of up to `max` events, and the in-flight slack on either
+  // side of the crash instant adds two more windows.
+  if (crashed && clean_storage) {
+    const std::int64_t loss = static_cast<std::int64_t>(baseline.total_read) -
+                              static_cast<std::int64_t>(result.total_read);
+    EXPECT_LE(loss, static_cast<std::int64_t>(
+                        (result.lost_window + 2) *
+                        static_cast<std::uint64_t>(plan.scenario.max)));
+  }
+  // Duplicates require losing a forward record, which the write-ahead
+  // discipline makes impossible, crash or no crash, faults or not.
+  // (Batched cells that crash may legitimately re-deliver.)
+  if (write_ahead || !crashed) {
+    EXPECT_EQ(result.duplicate_user_reads, 0u);
+  }
+  // A crash was injected wherever the cell asked for one.
+  if (crash_fraction > 0.0) {
+    EXPECT_TRUE(crashed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SyncSnapshotFaultCrash, DurabilityGrid,
+    ::testing::Combine(
+        ::testing::Values(SyncMode::kWriteAhead, SyncMode::kBatched),
+        ::testing::Values(std::uint64_t{32}, std::uint64_t{256}),
+        ::testing::Values(StorageFault::kNone, StorageFault::kFsync,
+                          StorageFault::kTorn),
+        ::testing::Values(0.0, 0.5)),
+    [](const ::testing::TestParamInfo<DurabilityCell>& param_info) {
+      return cell_name(param_info.param);
+    });
 
 }  // namespace
 }  // namespace waif::experiments
